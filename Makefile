@@ -6,8 +6,8 @@ export PYTHONPATH := src
 	faults fuzz chaos
 
 # The one-stop gate: descriptor + source lint, observability +
-# availability + static-gate end-to-end selftests, then the full
-# tier-1 suite.
+# availability + static-gate end-to-end selftests, the end-to-end
+# benchmark's own checks, then the full tier-1 suite.
 check: lint lint-src selftest test
 
 # static verification of the shipped IDL + descriptor fixtures
@@ -30,6 +30,7 @@ selftest:
 	$(PYTHON) benchmarks/bench_federation.py --selftest
 	$(PYTHON) benchmarks/bench_chaos.py --selftest
 	$(PYTHON) benchmarks/bench_simlint.py --selftest
+	$(PYTHON) -m pytest -q perfbench
 
 test:
 	$(PYTHON) -m pytest -x -q

@@ -1,8 +1,8 @@
 """C1-gate — codec/dispatch fast-path floor (§2 R1, "lightweight").
 
 Assertion-only guard wired into ``make check``: it verifies that the
-three-tier codec machinery is actually engaged on the invocation path
-(generated source codecs handling the request/reply bodies) and that
+codegen tier of the codec stack is actually engaged on the invocation
+path (generated source codecs handling the request/reply bodies) and that
 marshalling and invocation cost have not regressed past conservative
 floors.
 

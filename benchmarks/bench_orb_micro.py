@@ -94,7 +94,9 @@ def test_cdr_marshal_throughput(benchmark, capsys):
 
 def test_cdr_marshal_interpreter_reference(benchmark, capsys):
     """Same workload through the reference TypeCode interpreter, for an
-    in-run comparison against the compiled-plan numbers above."""
+    in-run comparison against the generated-codec numbers above.  The
+    interpreter is the tier that serves ``any`` and object references
+    in production."""
     from repro.orb.cdr import encode_value_interp
 
     def marshal():
@@ -109,7 +111,7 @@ def test_cdr_marshal_interpreter_reference(benchmark, capsys):
     report(capsys, "C1a-ref: CDR marshalling (interpreter)",
            ["metric", "value"],
            [["throughput", f"{mbps:.1f} MB/s"]],
-           note="reference path; compare with C1a compiled plans")
+           note="reference path; compare with C1a generated codecs")
     stash(benchmark, mb_per_s=mbps)
 
 

@@ -90,8 +90,7 @@ class Baseline:
                          reason: str = "grandfathered") -> "Baseline":
         counts: dict[tuple[str, str, str], int] = {}
         for finding in diag:
-            key = (strip_line(finding.location), finding.code,
-                   finding.message)
+            key = finding_key(finding)
             counts[key] = counts.get(key, 0) + 1
         return cls(BaselineEntry(path=p, code=c, message=m, count=n,
                                  reason=reason)
@@ -109,8 +108,7 @@ class Baseline:
         out = Diagnostics()
         suppressed = 0
         for finding in diag:
-            key = (strip_line(finding.location), finding.code,
-                   finding.message)
+            key = finding_key(finding)
             if budget.get(key, 0) > 0:
                 budget[key] -= 1
                 suppressed += 1

@@ -102,11 +102,6 @@ class ResourceManager:
     def profile(self):
         return self.host.profile
 
-    def can_host_platform(self, package) -> bool:
-        """Can this host's platform run any binary in *package*?"""
-        p = self.profile
-        return package.supports_platform(p.os, p.arch, p.orb)
-
     # -- admission --------------------------------------------------------------
     def fits(self, qos: QoSSpec) -> bool:
         """Would *qos* fit in the currently free capacity?"""

@@ -13,12 +13,13 @@ marshalling), object references (as stringified IORs), and a fast-path
 
 Two execution paths share this wire format:
 
-- :func:`encode_value` / :func:`decode_value` consult the compiled
-  codec-plan cache (:mod:`repro.orb.compiled`) — the hot path;
+- :func:`encode_value` / :func:`decode_value` consult the codec-plan
+  cache (:mod:`repro.orb.compiled`) — the hot path;
 - :func:`encode_value_interp` / :func:`decode_value_interp` walk the
-  TypeCode graph directly — the reference interpreter, kept as the
-  fallback for ``Any`` payloads near the nesting limit and as the
-  ground truth the property tests compare the plans against.
+  TypeCode graph directly — the reference interpreter, which serves
+  every TypeCode the generated codecs decline (``Any``, object
+  references, over-deep types) and is the ground truth the property
+  tests compare the generated codecs against.
 """
 
 from __future__ import annotations
@@ -117,9 +118,6 @@ class CDREncoder:
             raise BAD_PARAM(f"expected str, got {type(v).__name__}")
         data = v.encode("utf-8") + b"\x00"
         self.write_ulong(len(data))
-        self._buf.extend(data)
-
-    def write_bytes_raw(self, data: bytes) -> None:
         self._buf.extend(data)
 
     def write_octet_sequence(self, data: bytes) -> None:
@@ -258,15 +256,8 @@ class Any:
 _get_plan = None  # resolved lazily; avoids a circular import with compiled
 
 
-def encode_value(enc: CDREncoder, tc: TypeCode, value, _depth: int = 0) -> None:
-    """CDR-encode *value* as type *tc* into *enc*.
-
-    Top-level calls (``_depth == 0``) run through the compiled codec
-    plan cache; nested calls stay on the reference interpreter.
-    """
-    if _depth:
-        encode_value_interp(enc, tc, value, _depth)
-        return
+def encode_value(enc: CDREncoder, tc: TypeCode, value) -> None:
+    """CDR-encode *value* as type *tc* into *enc* (codec plan cache)."""
     global _get_plan
     if _get_plan is None:
         from repro.orb.compiled import get_plan as _get_plan_fn
@@ -274,10 +265,8 @@ def encode_value(enc: CDREncoder, tc: TypeCode, value, _depth: int = 0) -> None:
     _get_plan(tc).encode(enc, value)
 
 
-def decode_value(dec: CDRDecoder, tc: TypeCode, _depth: int = 0):
-    """Decode a value of type *tc* from *dec* (compiled fast path)."""
-    if _depth:
-        return decode_value_interp(dec, tc, _depth)
+def decode_value(dec: CDRDecoder, tc: TypeCode):
+    """Decode a value of type *tc* from *dec* (codec plan cache)."""
     global _get_plan
     if _get_plan is None:
         from repro.orb.compiled import get_plan as _get_plan_fn

@@ -1,12 +1,12 @@
-"""Generated-source CDR codecs: the third (fastest) marshalling tier.
+"""Generated-source CDR codecs: the ORB's marshalling fast path.
 
-Where :mod:`repro.orb.compiled` interprets a closure-based *plan* per
-TypeCode, this module emits actual Python source for a fused encoder
-and decoder, compiles it once with :func:`exec`, and hands the pair to
-the plan cache (``compiled.get_plan`` attaches it when the TypeCode is
-supported — see ``compiled._attach_codegen``).
+Where the interpreter in :mod:`repro.orb.cdr` walks the TypeCode graph
+on every call, this module emits actual Python source for a fused
+encoder and decoder, compiles it once with :func:`exec`, and hands the
+pair to the plan cache (``compiled.get_plan`` serves it whenever the
+TypeCode is supported).
 
-What the generated code buys over the plan tier:
+What the generated code buys over the interpreter:
 
 - **no per-call plan walking**: member extraction, alignment residue
   selection, struct.pack/unpack batching and value rebuilding are all
@@ -23,9 +23,9 @@ What the generated code buys over the plan tier:
 
 Tier-selection rules: ``Any`` and object references are *declined*
 (``generate`` returns None) because their wire shape depends on the
-value, as are types past the nesting limit (the plan tier owns the
+value, as are types past the nesting limit (the interpreter owns the
 depth-enforcement semantics) and shapes that would nest generated
-blocks too deeply.  Declined TypeCodes simply stay on the plan tier.
+blocks too deeply.  Declined TypeCodes are served by the interpreter.
 
 Error containment: generated bodies run inside ``try`` blocks whose
 handlers convert any raw Python error into ``BAD_PARAM`` (encode,
@@ -34,9 +34,9 @@ repo's SystemExceptions derive from plain ``Exception`` only, so a
 deliberate ``BAD_PARAM``/``MARSHAL`` raised inside a generated body
 passes through the handlers untouched.
 
-Byte-for-byte equivalence with the interpreter and the plan tier is
-enforced by ``tests/property/test_trimodal_properties.py``; hostile
-input containment by the codec-tier fuzz in ``repro.orb.fuzz``.
+Byte-for-byte equivalence with the interpreter is enforced by
+``tests/property/test_trimodal_properties.py``; hostile input
+containment by the codec-tier fuzz in ``repro.orb.fuzz``.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ _EERR = (_struct.error, TypeError, KeyError, AttributeError, ValueError,
          IndexError, OverflowError)
 #: Exceptions a generated *decoder* converts to MARSHAL (struct.error is
 #: handled first and separately as BAD_PARAM underflow, matching the
-#: plan tier's pre-checked underflow class).
+#: interpreter's underflow class).
 _DERR = (TypeError, KeyError, AttributeError, ValueError, IndexError,
          OverflowError)
 
@@ -120,7 +120,7 @@ def _ok(tc: TypeCode, depth: int, blocks: int) -> bool:
     if kind is TCKind.ALIAS:
         return _ok(tc.content_type, depth + 1, blocks)
     if kind in (TCKind.ANY, TCKind.OBJREF):
-        # Wire shape depends on the runtime value: interpreter/plan tier.
+        # Wire shape depends on the runtime value: interpreter.
         return False
     if kind in (TCKind.NULL, TCKind.VOID, TCKind.STRING, TCKind.OCTETSEQ,
                 TCKind.CHAR, TCKind.ENUM) or kind in _c._PRIM_LEAF:
@@ -200,7 +200,7 @@ def _flush_enc(b: _Builder, run: list, ind: int) -> None:
 def _seq_fast_item(b: _Builder, tc: TypeCode):
     """Per-element append-expression templates for the batched-sequence
     fast flatten loop, or None when the element needs the strict
-    plan-tier flatten.  Returns (templates, first_item_dict_len).
+    leaf-model flatten.  Returns (templates, first_item_dict_len).
 
     The bound-append loop is deliberate: C-level alternatives measured
     slower here (itemgetter+map+chain pays a tuple per element and the
@@ -595,7 +595,7 @@ def _emit_batched_dec(b: _Builder, content: TypeCode, finfo, nv, target: str,
     bc = b.sym("bc", _c.make_batcher(leaves))
     if guard:
         # Bound allocation before building an O(n) format for garbage
-        # counts — same contract as the plan tier.
+        # counts — same contract as the interpreter.
         msg = b.sym("ms", "CDR underflow: batched sequence needs ")
         b.emit(ind, f"if {nv} * {min_elem} > end - pos:")
         b.emit(ind + 1,
@@ -802,7 +802,7 @@ def _generate(tc: TypeCode):
 
 def generate(tc: TypeCode):
     """Return a generated (encode, decode) pair for *tc*, or None when
-    the TypeCode stays on the plan/interpreter tiers.  Results are
+    the TypeCode stays on the interpreter.  Results are
     cached by repository id (fast front) and by structural equality."""
     rid = tc.repo_id
     if rid:
@@ -824,8 +824,8 @@ def generate(tc: TypeCode):
                 stats["generated"] += 1
             except Exception:
                 # A generation bug must never take down marshalling —
-                # the plan tier is always a correct fallback.  The
-                # tri-modal property tests keep this path honest.
+                # the interpreter is always a correct fallback.  The
+                # codec-tier property tests keep this path honest.
                 pair = None
                 stats["unsupported"] += 1
         if len(_TC_CACHE) >= _CACHE_MAX:

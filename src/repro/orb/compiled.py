@@ -1,28 +1,25 @@
-"""Compiled CDR codec plans: the ORB's marshalling fast path.
+"""The codec plan cache and the fixed-size leaf model behind it.
 
-The interpreter in :mod:`repro.orb.cdr` walks the TypeCode graph on
-every encode/decode.  This module walks each TypeCode **once** and
-emits a flat, closure-based *plan*:
-
-- runs of fixed-size primitives (including whole fixed-size structs,
-  arrays and enums) are fused into a single :class:`struct.Struct`
-  pack/unpack.  CDR alignment is relative to the stream start, so a
-  fused run precomputes one format string per possible start residue
-  (mod 8), with ``x`` pad bytes standing in for alignment gaps —
-  byte-for-byte identical to the interpreter's output at any offset;
-- ``string`` and ``sequence<octet>`` get direct buffer appends;
-- homogeneous fixed-size sequences/arrays batch all elements into one
-  ``struct.pack``/``unpack_from`` call;
-- ``Any`` and deeply-nested values fall back to the interpreter, which
-  stays the reference implementation.
+:func:`get_plan` hands every marshalling call site one encode/decode
+pair per TypeCode: the generated source of :mod:`repro.orb.codegen`
+(``tier == "codegen"``), or, for every TypeCode codegen declines —
+``Any``, object references, over-deep types and anything built from
+them — the reference interpreter of :mod:`repro.orb.cdr`
+(``tier == "interp"``).
 
 Plans are cached per TypeCode identity (an ``id()`` front cache) and
 per structural equality, so repeated invocations never re-traverse the
-TypeCode graph.  :data:`stats` counts hits/misses for observability.
+TypeCode graph; :data:`stats` counts hits/misses.  :func:`op_codec`
+memoizes one operation's request/reply plans on its OperationDef.
 
-Equivalence with the interpreter — identical bytes out, identical
-values back, matching ``BAD_PARAM`` on bad input — is enforced by
-``tests/property/test_cdr_properties.py``.
+The fixed-size leaf model (flatten/unflatten of wholly fixed-size
+types into one :class:`struct.Struct` run, one format per start
+residue mod 8) is what the generated source binds for its fused runs
+and batched sequences.
+
+Both tiers emit identical bytes, decode identical values and raise
+matching ``BAD_PARAM`` on bad input; the property suites in
+``tests/property/`` enforce it.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from typing import Callable, Optional
 
 from repro.orb import cdr as _cdr
 from repro.orb.cdr import CDRDecoder, CDREncoder
-from repro.orb.exceptions import BAD_PARAM, MARSHAL
+from repro.orb.exceptions import BAD_PARAM
 from repro.orb.typecodes import TCKind, TypeCode
 
 _MAX_NESTING = _cdr._MAX_NESTING
@@ -43,46 +40,30 @@ _MAX_NESTING = _cdr._MAX_NESTING
 #: primitives; larger shapes use the batched-sequence path instead.
 _FUSE_LIMIT = 64
 
-_ULONG = _struct.Struct(">I")
-_PAD = tuple(b"\x00" * n for n in range(8))
-
 #: Plan-cache observability: standard invocations must show hits > 0.
-stats = {"hits": 0, "misses": 0, "compiled": 0}
+stats = {"hits": 0, "misses": 0}
 
 
 def reset_stats() -> None:
-    stats["hits"] = stats["misses"] = stats["compiled"] = 0
+    stats["hits"] = stats["misses"] = 0
 
 
 class CodecPlan:
-    """A compiled encode/decode pair for one TypeCode.
+    """The encode/decode pair serving one TypeCode, and its ``tier``."""
 
-    ``fixed`` is the (leaves, flatten, unflatten) triple when the whole
-    type is a fixed-size primitive run (absorbable by parent plans),
-    else None.  ``static_depth`` is the recursion depth the interpreter
-    would need for a conforming value; ``dynamic`` marks plans whose
-    depth depends on the value (contains ``Any``).
-    """
-
-    __slots__ = ("tc", "encode", "decode", "fixed", "static_depth", "dynamic",
-                 "tier")
+    __slots__ = ("tc", "encode", "decode", "tier")
 
     def __init__(self, tc: TypeCode,
                  encode: Callable[[CDREncoder, object], None],
                  decode: Callable[[CDRDecoder], object],
-                 fixed=None, static_depth: int = 0,
-                 dynamic: bool = False) -> None:
+                 tier: str) -> None:
         self.tc = tc
         self.encode = encode
         self.decode = decode
-        self.fixed = fixed
-        self.static_depth = static_depth
-        self.dynamic = dynamic
-        self.tier = "plan"
+        self.tier = tier
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CodecPlan {self.tc!r} depth={self.static_depth} " \
-               f"tier={self.tier}>"
+        return f"<CodecPlan {self.tc!r} tier={self.tier}>"
 
 
 # -- fixed-size leaf model ----------------------------------------------------
@@ -156,8 +137,8 @@ def _fixed_info(tc: TypeCode, depth: int):
     """Return (leaves, flatten, unflatten) if *tc* is wholly fixed-size.
 
     Returns None for variable-size types, for types past the nesting
-    limit (so the parent falls back to a depth-enforcing sub-plan), and
-    for shapes bigger than :data:`_FUSE_LIMIT` leaves.
+    limit (so they stay on the depth-enforcing interpreter), and for
+    shapes bigger than :data:`_FUSE_LIMIT` leaves.
     """
     if depth > _MAX_NESTING:
         return None
@@ -289,122 +270,12 @@ def _variant_structs(leaves):
     """Like :func:`_variant_fmts` but with compiled Struct objects."""
     cache: dict[str, _struct.Struct] = {}
     out = []
-    for fmt, consumed in _variant_fmts(leaves):
+    for fmt, _consumed in _variant_fmts(leaves):
         st = cache.get(fmt)
         if st is None:
             st = cache[fmt] = _struct.Struct(">" + fmt)
         out.append(st)
     return out
-
-
-def _fused_codec(tc: TypeCode, fixed):
-    """Build encode/decode closures for a wholly-fixed TypeCode."""
-    leaves, flatten, unflatten = fixed
-    if not leaves:
-        def encode(enc: CDREncoder, value) -> None:
-            flatten(value, [])
-
-        def decode(dec: CDRDecoder):
-            return unflatten((), 0)[0]
-        return encode, decode
-    variants = _variant_structs(leaves)
-
-    def encode(enc: CDREncoder, value) -> None:
-        out: list = []
-        flatten(value, out)
-        buf = enc._buf
-        st = variants[len(buf) & 7]
-        try:
-            buf += st.pack(*out)
-        except (_struct.error, TypeError) as exc:
-            raise BAD_PARAM(
-                f"cannot marshal {value!r} as {tc!r}: {exc}"
-            ) from None
-
-    def decode(dec: CDRDecoder):
-        pos = dec._pos
-        st = variants[pos & 7]
-        size = st.size
-        buf = dec._buf
-        if pos + size > len(buf):
-            raise BAD_PARAM(
-                f"CDR underflow: need {size} bytes at {pos}, have {len(buf)}"
-            )
-        vals = st.unpack_from(buf, pos)
-        dec._pos = pos + size
-        return unflatten(vals, 0)[0]
-
-    return encode, decode
-
-
-# -- specialized plans --------------------------------------------------------
-
-def _string_codec():
-    def encode(enc: CDREncoder, v) -> None:
-        if not isinstance(v, str):
-            raise BAD_PARAM(f"expected str, got {type(v).__name__}")
-        data = v.encode("utf-8")
-        buf = enc._buf
-        pad = (-len(buf)) & 3
-        if pad:
-            buf += _PAD[pad]
-        buf += _ULONG.pack(len(data) + 1)
-        buf += data
-        buf.append(0)
-
-    def decode(dec: CDRDecoder) -> str:
-        buf = dec._buf
-        pos = dec._pos + ((-dec._pos) & 3)
-        end = len(buf)
-        if pos + 4 > end:
-            raise BAD_PARAM(
-                f"CDR underflow: need 4 bytes at {pos}, have {end}"
-            )
-        (length,) = _ULONG.unpack_from(buf, pos)
-        pos += 4
-        stop = pos + length
-        if stop > end:
-            raise BAD_PARAM("CDR underflow reading string")
-        if length == 0 or buf[stop - 1]:
-            raise BAD_PARAM("string not NUL-terminated")
-        dec._pos = stop
-        try:
-            # Decode straight from the memoryview slice — no bytes copy.
-            return str(buf[pos:stop - 1], "utf-8")
-        except UnicodeDecodeError as exc:
-            raise MARSHAL(f"invalid UTF-8 in string: {exc}") from None
-
-    return encode, decode
-
-
-def _octetseq_codec():
-    def encode(enc: CDREncoder, data) -> None:
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise BAD_PARAM(f"expected bytes, got {type(data).__name__}")
-        buf = enc._buf
-        pad = (-len(buf)) & 3
-        if pad:
-            buf += _PAD[pad]
-        buf += _ULONG.pack(len(data))
-        buf += data
-
-    def decode(dec: CDRDecoder) -> bytes:
-        buf = dec._buf
-        pos = dec._pos + ((-dec._pos) & 3)
-        end = len(buf)
-        if pos + 4 > end:
-            raise BAD_PARAM(
-                f"CDR underflow: need 4 bytes at {pos}, have {end}"
-            )
-        (length,) = _ULONG.unpack_from(buf, pos)
-        pos += 4
-        if pos + length > end:
-            raise BAD_PARAM("CDR underflow reading octet sequence")
-        raw = bytes(buf[pos:pos + length])
-        dec._pos = pos + length
-        return raw
-
-    return encode, decode
 
 
 #: Batch-format cache capacity per batcher (LRU-evicted, never cleared
@@ -473,489 +344,21 @@ def make_batcher(leaves, lead_ulong: bool = False):
     return batch_struct
 
 
-def _batched_elems_codec(tc: TypeCode, fixed, bound: int,
-                         with_count: bool, fixed_count: int = 0):
-    """Batch a fixed-size element type: one pack/unpack for all items.
-
-    ``with_count`` selects sequence framing (ulong count prefix) versus
-    array framing (exactly ``fixed_count`` items, no prefix).
-    """
-    leaves, flatten, unflatten = fixed
-    min_elem = sum(size for _ch, size, _a in leaves)
-    _batch_struct = make_batcher(leaves)
-
-    def encode(enc: CDREncoder, value) -> None:
-        items = value if isinstance(value, list) else list(value)
-        n = len(items)
-        buf = enc._buf
-        if with_count:
-            if bound and n > bound:
-                raise BAD_PARAM(
-                    f"sequence bound {bound} exceeded ({n} items)"
-                )
-            pad = (-len(buf)) & 3
-            if pad:
-                buf += _PAD[pad]
-            buf += _ULONG.pack(n)
-            if not n:
-                return
-        else:
-            if n != fixed_count:
-                raise BAD_PARAM(
-                    f"array of length {fixed_count} got {n} items"
-                )
-        out: list = []
-        for item in items:
-            flatten(item, out)
-        st = _batch_struct(len(buf) & 7, n)
-        try:
-            buf += st.pack(*out)
-        except (_struct.error, TypeError) as exc:
-            raise BAD_PARAM(
-                f"cannot marshal {value!r} as {tc!r}: {exc}"
-            ) from None
-
-    def decode(dec: CDRDecoder):
-        buf = dec._buf
-        end = len(buf)
-        if with_count:
-            pos = dec._pos + ((-dec._pos) & 3)
-            if pos + 4 > end:
-                raise BAD_PARAM(
-                    f"CDR underflow: need 4 bytes at {pos}, have {end}"
-                )
-            (n,) = _ULONG.unpack_from(buf, pos)
-            dec._pos = pos = pos + 4
-            if not n:
-                return []
-        else:
-            n = fixed_count
-            pos = dec._pos
-        # Guard before building an O(n) format for garbage counts.
-        if pos + n * min_elem > end:
-            raise BAD_PARAM(
-                f"CDR underflow: need {n * min_elem} bytes at {pos}, "
-                f"have {end}"
-            )
-        st = _batch_struct(pos & 7, n)
-        size = st.size
-        if pos + size > end:
-            raise BAD_PARAM(
-                f"CDR underflow: need {size} bytes at {pos}, have {end}"
-            )
-        vals = st.unpack_from(buf, pos)
-        dec._pos = pos + size
-        res = []
-        i = 0
-        for _ in range(n):
-            obj, i = unflatten(vals, i)
-            res.append(obj)
-        return res
-
-    return encode, decode
-
-
-def _loop_seq_codec(tc: TypeCode, content: "CodecPlan"):
-    bound = tc.length
-    tname = tc.name
-    c_encode = content.encode
-    c_decode = content.decode
-
-    def encode(enc: CDREncoder, value) -> None:
-        items = value if isinstance(value, list) else list(value)
-        n = len(items)
-        if bound and n > bound:
-            raise BAD_PARAM(f"sequence bound {bound} exceeded ({n} items)")
-        buf = enc._buf
-        pad = (-len(buf)) & 3
-        if pad:
-            buf += _PAD[pad]
-        buf += _ULONG.pack(n)
-        for item in items:
-            c_encode(enc, item)
-
-    def decode(dec: CDRDecoder):
-        buf = dec._buf
-        pos = dec._pos + ((-dec._pos) & 3)
-        if pos + 4 > len(buf):
-            raise BAD_PARAM(
-                f"CDR underflow: need 4 bytes at {pos}, have {len(buf)}"
-            )
-        (n,) = _ULONG.unpack_from(buf, pos)
-        dec._pos = pos + 4
-        # Every element consumes at least one byte; reject garbage
-        # counts before looping anything proportional to them.
-        if n > len(buf) - dec._pos:
-            raise MARSHAL(
-                f"sequence count {n} exceeds {len(buf) - dec._pos} "
-                "remaining bytes"
-            )
-        return [c_decode(dec) for _ in range(n)]
-
-    return encode, decode
-
-
-def _loop_array_codec(tc: TypeCode, content: "CodecPlan"):
-    length = tc.length
-    c_encode = content.encode
-    c_decode = content.decode
-
-    def encode(enc: CDREncoder, value) -> None:
-        items = value if isinstance(value, list) else list(value)
-        if len(items) != length:
-            raise BAD_PARAM(
-                f"array of length {length} got {len(items)} items"
-            )
-        for item in items:
-            c_encode(enc, item)
-
-    def decode(dec: CDRDecoder):
-        return [c_decode(dec) for _ in range(length)]
-
-    return encode, decode
-
-
-def _struct_codec(tc: TypeCode, depth: int):
-    """Mixed-member struct: fuse consecutive fixed members, plan the rest."""
-    names = tuple(n for n, _ in tc.members)
-    nameset = frozenset(names)
-    tname = tc.name
-    member_tcs = [mtc for _n, mtc in tc.members]
-
-    # steps: ("fused", variants, flattens, unflattens, start)
-    #      | ("plan", index, sub_plan)
-    steps: list[tuple] = []
-    run: list[tuple] = []  # (index, fixed_info)
-
-    def _flush_run() -> None:
-        if not run:
-            return
-        start = run[0][0]
-        leaves = tuple(lf for _i, sub in run for lf in sub[0])
-        flattens = tuple(sub[1] for _i, sub in run)
-        unflattens = tuple(sub[2] for _i, sub in run)
-        steps.append(
-            ("fused", _variant_structs(leaves), flattens, unflattens, start)
-        )
-        run.clear()
-
-    run_leaves = 0
-    for i, mtc in enumerate(member_tcs):
-        sub = _fixed_info(mtc, depth + 1)
-        if sub is not None and run_leaves + len(sub[0]) <= _FUSE_LIMIT:
-            run.append((i, sub))
-            run_leaves += len(sub[0])
-            continue
-        _flush_run()
-        run_leaves = 0
-        if sub is not None:
-            run.append((i, sub))
-            run_leaves = len(sub[0])
-        else:
-            steps.append(("plan", i, _compile(mtc, depth + 1)))
-    _flush_run()
-    steps_t = tuple(steps)
-
-    def encode(enc: CDREncoder, value) -> None:
-        is_dict = isinstance(value, dict)
-        vals = []
-        if is_dict:
-            for name in names:
-                try:
-                    vals.append(value[name])
-                except KeyError:
-                    raise BAD_PARAM(
-                        f"struct {tname} missing member {name!r}"
-                    ) from None
-        else:
-            for name in names:
-                try:
-                    vals.append(getattr(value, name))
-                except AttributeError:
-                    raise BAD_PARAM(
-                        f"struct {tname} value lacks member {name!r}"
-                    ) from None
-        for step in steps_t:
-            if step[0] == "fused":
-                _tag, variants, flattens, _ufs, start = step
-                out: list = []
-                for off, fl in enumerate(flattens):
-                    fl(vals[start + off], out)
-                buf = enc._buf
-                st = variants[len(buf) & 7]
-                try:
-                    buf += st.pack(*out)
-                except (_struct.error, TypeError) as exc:
-                    raise BAD_PARAM(
-                        f"cannot marshal struct {tname}: {exc}"
-                    ) from None
-            else:
-                _tag, i, plan = step
-                plan.encode(enc, vals[i])
-        if is_dict:
-            extra = value.keys() - nameset
-            if extra:
-                raise BAD_PARAM(
-                    f"struct {tname} has unknown members {sorted(extra)}"
-                )
-
-    def decode(dec: CDRDecoder):
-        result: dict = {}
-        for step in steps_t:
-            if step[0] == "fused":
-                _tag, variants, _fls, unflattens, start = step
-                buf = dec._buf
-                pos = dec._pos
-                st = variants[pos & 7]
-                size = st.size
-                if pos + size > len(buf):
-                    raise BAD_PARAM(
-                        f"CDR underflow: need {size} bytes at {pos}, "
-                        f"have {len(buf)}"
-                    )
-                vals = st.unpack_from(buf, pos)
-                dec._pos = pos + size
-                i = 0
-                for off, uf in enumerate(unflattens):
-                    result[names[start + off]], i = uf(vals, i)
-            else:
-                _tag, i, plan = step
-                result[names[i]] = plan.decode(dec)
-        return result
-
-    return encode, decode
-
-
-def _union_codec(tc: TypeCode, depth: int):
-    tname = tc.name
-    assert tc.discriminator_type is not None
-    disc_plan = _compile(tc.discriminator_type, depth + 1)
-    arms = tuple(
-        (label, _compile(arm_tc, depth + 1))
-        for label, _name, arm_tc in tc.members
-    )
-    default_plan = None
-    if 0 <= tc.default_index < len(arms):
-        default_plan = arms[tc.default_index][1]
-
-    def _arm_for(disc):
-        # Mirror the interpreter: first matching non-default label wins,
-        # then the default arm.
-        for label, plan in arms:
-            if label is not None and label == disc:
-                return plan
-        return default_plan
-
-    def encode(enc: CDREncoder, value) -> None:
-        try:
-            disc, inner = value
-        except (TypeError, ValueError):
-            raise BAD_PARAM(
-                f"union {tname} value must be (discriminator, value)"
-            ) from None
-        disc_plan.encode(enc, disc)
-        plan = _arm_for(disc)
-        if plan is None:
-            raise BAD_PARAM(f"union {tname}: no arm for discriminator {disc!r}")
-        plan.encode(enc, inner)
-
-    def decode(dec: CDRDecoder):
-        disc = disc_plan.decode(dec)
-        plan = _arm_for(disc)
-        if plan is None:
-            raise BAD_PARAM(f"union {tname}: no arm for discriminator {disc!r}")
-        return (disc, plan.decode(dec))
-
-    return encode, decode
-
-
-def _any_codec(depth: int):
-    """``Any``: TypeCode then value.  The inner value's nesting budget
-    starts at *depth* + 1, so reuse a compiled plan only when its static
-    depth provably fits; otherwise fall back to the depth-enforcing
-    interpreter."""
-
-    def encode(enc: CDREncoder, value) -> None:
-        if not isinstance(value, _cdr.Any):
-            raise BAD_PARAM(f"expected Any, got {type(value).__name__}")
-        _cdr.encode_typecode(enc, value.typecode)
-        plan = get_plan(value.typecode)
-        if not plan.dynamic and depth + 1 + plan.static_depth <= _MAX_NESTING:
-            plan.encode(enc, value.value)
-        else:
-            _cdr.encode_value_interp(enc, value.typecode, value.value,
-                                     depth + 1)
-
-    def decode(dec: CDRDecoder):
-        inner_tc = _cdr.decode_typecode(dec)
-        plan = get_plan(inner_tc)
-        if not plan.dynamic and depth + 1 + plan.static_depth <= _MAX_NESTING:
-            return _cdr.Any(inner_tc, plan.decode(dec))
-        return _cdr.Any(
-            inner_tc, _cdr.decode_value_interp(dec, inner_tc, depth + 1)
-        )
-
-    return encode, decode
-
-
-def _objref_codec():
-    def encode(enc: CDREncoder, value) -> None:
-        _cdr._encode_objref(enc, value)
-
-    def decode(dec: CDRDecoder):
-        return _cdr._decode_objref(dec)
-
-    return encode, decode
-
-
-def _error_plan(tc: TypeCode) -> CodecPlan:
-    def encode(enc: CDREncoder, value) -> None:
-        raise BAD_PARAM("value nesting too deep")
-
-    def decode(dec: CDRDecoder):
-        raise BAD_PARAM("value nesting too deep")
-    return CodecPlan(tc, encode, decode, static_depth=_MAX_NESTING + 1)
-
-
-# -- the compiler -------------------------------------------------------------
-
-def _compile(tc: TypeCode, depth: int) -> CodecPlan:
-    if depth > _MAX_NESTING:
-        return _error_plan(tc)
-    kind = tc.kind
-    if kind is TCKind.ALIAS:
-        assert tc.content_type is not None
-        inner = _compile(tc.content_type, depth + 1)
-        return CodecPlan(tc, inner.encode, inner.decode, inner.fixed,
-                         inner.static_depth + 1, inner.dynamic)
-
-    fixed = _fixed_info(tc, depth)
-    if fixed is not None:
-        encode, decode = _fused_codec(tc, fixed)
-        return CodecPlan(tc, encode, decode, fixed,
-                         _static_depth(tc), False)
-
-    if kind is TCKind.STRING:
-        encode, decode = _string_codec()
-        return CodecPlan(tc, encode, decode)
-    if kind is TCKind.OCTETSEQ:
-        encode, decode = _octetseq_codec()
-        return CodecPlan(tc, encode, decode)
-    if kind is TCKind.SEQUENCE:
-        assert tc.content_type is not None
-        content = _compile(tc.content_type, depth + 1)
-        cfixed = content.fixed
-        if cfixed is not None and cfixed[0]:
-            encode, decode = _batched_elems_codec(
-                tc, cfixed, tc.length, with_count=True
-            )
-        else:
-            encode, decode = _loop_seq_codec(tc, content)
-        return CodecPlan(tc, encode, decode, None,
-                         content.static_depth + 1, content.dynamic)
-    if kind is TCKind.ARRAY:
-        assert tc.content_type is not None
-        content = _compile(tc.content_type, depth + 1)
-        cfixed = content.fixed
-        if cfixed is not None and cfixed[0]:
-            encode, decode = _batched_elems_codec(
-                tc, cfixed, 0, with_count=False, fixed_count=tc.length
-            )
-        else:
-            encode, decode = _loop_array_codec(tc, content)
-        return CodecPlan(tc, encode, decode, None,
-                         content.static_depth + 1, content.dynamic)
-    if kind in (TCKind.STRUCT, TCKind.EXCEPT):
-        encode, decode = _struct_codec(tc, depth)
-        sd = 1 + max(
-            (_plan_depth(mtc, depth) for _n, mtc in tc.members), default=0
-        )
-        dyn = any(_contains_any(mtc) for _n, mtc in tc.members)
-        return CodecPlan(tc, encode, decode, None, sd, dyn)
-    if kind is TCKind.UNION:
-        encode, decode = _union_codec(tc, depth)
-        parts = [tc.discriminator_type] + [m[2] for m in tc.members]
-        sd = 1 + max(_plan_depth(p, depth) for p in parts)
-        dyn = any(_contains_any(p) for p in parts)
-        return CodecPlan(tc, encode, decode, None, sd, dyn)
-    if kind is TCKind.ANY:
-        encode, decode = _any_codec(depth)
-        return CodecPlan(tc, encode, decode, None, 1, True)
-    if kind is TCKind.OBJREF:
-        encode, decode = _objref_codec()
-        return CodecPlan(tc, encode, decode)
-    raise BAD_PARAM(f"cannot compile TypeCode kind {kind}")
-
-
-def _static_depth(tc: TypeCode, _depth: int = 0) -> int:
-    """Interpreter recursion depth needed for a value of *tc*."""
-    if _depth > _MAX_NESTING:
-        return _MAX_NESTING + 1
-    kind = tc.kind
-    if kind in (TCKind.ALIAS, TCKind.SEQUENCE, TCKind.ARRAY):
-        assert tc.content_type is not None
-        return 1 + _static_depth(tc.content_type, _depth + 1)
-    if kind in (TCKind.STRUCT, TCKind.EXCEPT):
-        return 1 + max(
-            (_static_depth(mtc, _depth + 1) for _n, mtc in tc.members),
-            default=0,
-        )
-    if kind is TCKind.UNION:
-        parts = [tc.discriminator_type] + [m[2] for m in tc.members]
-        return 1 + max(_static_depth(p, _depth + 1) for p in parts)
-    if kind is TCKind.ANY:
-        return 1
-    return 0
-
-
-def _plan_depth(tc: TypeCode, depth: int) -> int:
-    return _static_depth(tc, depth)
-
-
-def _contains_any(tc: TypeCode, _depth: int = 0) -> bool:
-    if _depth > _MAX_NESTING:
-        return False
-    kind = tc.kind
-    if kind is TCKind.ANY:
-        return True
-    if kind in (TCKind.ALIAS, TCKind.SEQUENCE, TCKind.ARRAY):
-        assert tc.content_type is not None
-        return _contains_any(tc.content_type, _depth + 1)
-    if kind in (TCKind.STRUCT, TCKind.EXCEPT):
-        return any(_contains_any(mtc, _depth + 1) for _n, mtc in tc.members)
-    if kind is TCKind.UNION:
-        parts = [tc.discriminator_type] + [m[2] for m in tc.members]
-        return any(_contains_any(p, _depth + 1) for p in parts)
-    return False
-
-
 # -- plan cache ---------------------------------------------------------------
 
-#: When enabled, plans cached by :func:`get_plan` are upgraded to the
-#: generated-source tier (repro.orb.codegen) where the TypeCode
-#: supports it; the closure-based plan stays the fallback and
-#: :func:`compile_plan` always returns the pure plan tier.
-_CODEGEN = True
-
-
-def set_codegen(enabled: bool) -> None:
-    """Toggle the generated-source tier (tests); drops cached plans."""
-    global _CODEGEN
-    _CODEGEN = bool(enabled)
-    clear_cache()
-
-
-def codegen_enabled() -> bool:
-    return _CODEGEN
-
-
-def _attach_codegen(tc: TypeCode, plan: CodecPlan) -> None:
+def _build(tc: TypeCode) -> CodecPlan:
     # Deferred import: codegen depends on this module's leaf model.
     from repro.orb import codegen
     pair = codegen.generate(tc)
     if pair is not None:
-        plan.encode, plan.decode = pair
-        plan.tier = "codegen"
+        return CodecPlan(tc, pair[0], pair[1], "codegen")
+
+    def encode(enc: CDREncoder, value) -> None:
+        _cdr.encode_value_interp(enc, tc, value)
+
+    def decode(dec: CDRDecoder):
+        return _cdr.decode_value_interp(dec, tc)
+    return CodecPlan(tc, encode, decode, "interp")
 
 
 _CACHE_MAX = 4096
@@ -965,14 +368,8 @@ _ID_CACHE: dict[int, tuple[TypeCode, CodecPlan]] = {}
 _EQ_CACHE: dict[TypeCode, CodecPlan] = {}
 
 
-def compile_plan(tc: TypeCode) -> CodecPlan:
-    """Compile a fresh plan for *tc*, bypassing the cache (tests)."""
-    stats["compiled"] += 1
-    return _compile(tc, 0)
-
-
 def get_plan(tc: TypeCode) -> CodecPlan:
-    """Return the cached codec plan for *tc*, compiling on first use."""
+    """Return the cached codec plan for *tc*, building it on first use."""
     entry = _ID_CACHE.get(id(tc))
     if entry is not None and entry[0] is tc:
         stats["hits"] += 1
@@ -983,41 +380,13 @@ def get_plan(tc: TypeCode) -> CodecPlan:
             _EQ_CACHE.clear()
             _ID_CACHE.clear()
         stats["misses"] += 1
-        stats["compiled"] += 1
-        plan = _compile(tc, 0)
-        if _CODEGEN:
-            _attach_codegen(tc, plan)
-        _EQ_CACHE[tc] = plan
+        plan = _EQ_CACHE[tc] = _build(tc)
     else:
         stats["hits"] += 1
     if len(_ID_CACHE) >= _CACHE_MAX:
         _ID_CACHE.clear()
     _ID_CACHE[id(tc)] = (tc, plan)
     return plan
-
-
-def clear_cache() -> None:
-    """Drop all cached plans (tests / memory pressure).
-
-    Also invalidates every :class:`OperationCodec` memoized on an
-    OperationDef: those codecs hold pre-bound plan handles compiled at
-    the old tier, and keeping them alive across a tier switch
-    (``set_codegen``) would let ablation runs silently keep executing
-    generated code.  The hot-path readers fall back to :func:`op_codec`
-    on AttributeError and re-memoize at the current tier.
-    """
-    _ID_CACHE.clear()
-    _EQ_CACHE.clear()
-    for odef in tuple(_MEMOIZED_ODEFS):
-        try:
-            object.__delattr__(odef, "_codec")
-        except AttributeError:
-            pass
-    _MEMOIZED_ODEFS.clear()
-
-
-def cache_size() -> int:
-    return len(_EQ_CACHE)
 
 
 # -- per-operation codecs -----------------------------------------------------
@@ -1049,9 +418,9 @@ class OperationCodec:
         return [plan.decode(dec) for plan in self.in_plans]
 
 
-#: OperationDefs carrying a memoized ``_codec``, tracked weakly so
-#: :func:`clear_cache` can strip stale codecs on a tier switch without
-#: pinning definitions in memory.
+#: OperationDefs carrying a memoized ``_codec``, tracked weakly so a
+#: layer tracer can set memoized codecs aside without pinning
+#: definitions in memory.
 _MEMOIZED_ODEFS: "weakref.WeakSet" = weakref.WeakSet()
 
 
@@ -1059,9 +428,7 @@ def op_codec(odef) -> OperationCodec:
     """Cached per-operation codec, stored on the OperationDef itself.
 
     OperationDef is a frozen dataclass, so the memo goes in via
-    ``object.__setattr__``; the definition is immutable, but the memo is
-    dropped by :func:`clear_cache` (and thus :func:`set_codegen`)
-    because the codec binds tier-specific plan handles.  Hot paths may
+    ``object.__setattr__``.  Hot paths may
     read ``odef._codec`` directly (guarded by AttributeError) to skip
     even this call."""
     try:

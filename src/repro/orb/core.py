@@ -626,12 +626,6 @@ class ORB:
             codec.encode_in(enc, args)
         return enc
 
-    def _marshal_args(self, odef: OperationDef, args: Sequence[TAny]) -> bytes:
-        enc = self._marshal_args_pooled(odef, args)
-        args_bytes = enc.take()
-        self._release_encoder(enc)
-        return args_bytes
-
     def _client_send_hooks(
         self, ior: IOR, odef: OperationDef, request_id: int,
         meter: Optional[str], oneway: bool,

@@ -85,9 +85,6 @@ class POA:
     def is_active(self, key: str) -> bool:
         return key in self._servants
 
-    def active_keys(self) -> list[str]:
-        return list(self._servants)
-
     def __len__(self) -> int:
         return len(self._servants)
 

@@ -121,10 +121,6 @@ class TypeCode:
             return f"TC:{self.kind.name.lower()}<{self.content_type!r}>{suffix}"
         return f"TC:{self.kind.name.lower()}({self.name})"
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.kind in _PRIMITIVE_KINDS
-
     def member_names(self) -> list[str]:
         if self.kind in (TCKind.STRUCT, TCKind.EXCEPT):
             return [n for n, _tc in self.members]
@@ -258,11 +254,3 @@ def _check_members(members: Sequence[tuple[str, TypeCode]]) -> None:
     for _, tc in members:
         if not isinstance(tc, TypeCode):
             raise BAD_PARAM(f"member type must be a TypeCode, got {tc!r}")
-
-
-def unalias(tc: TypeCode) -> TypeCode:
-    """Strip ALIAS wrappers down to the underlying TypeCode."""
-    while tc.kind is TCKind.ALIAS:
-        assert tc.content_type is not None
-        tc = tc.content_type
-    return tc

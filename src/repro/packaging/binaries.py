@@ -50,9 +50,6 @@ class BinaryRegistry:
     def __contains__(self, entry_point: str) -> bool:
         return entry_point in self._factories
 
-    def entry_points(self) -> list[str]:
-        return sorted(self._factories)
-
 
 #: Shared default registry; components register their factories at
 #: import time, mirroring how linking puts symbols in a process image.

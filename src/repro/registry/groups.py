@@ -323,12 +323,6 @@ class DistributedRegistry:
             tolerance=self.config.prediction_tolerance, phase=phase)
 
     # -- post-deployment -----------------------------------------------------------
-    def group_of(self, host: str) -> Group:
-        for group in self.groups.values():
-            if host in group.member_hosts:
-                return group
-        raise ConfigurationError(f"host {host!r} is in no group")
-
     def all_mrm_agents(self) -> list[MrmAgent]:
         agents = [a for g in self.groups.values() for a in g.agents]
         if self.root is not None:

@@ -59,10 +59,6 @@ class Message:
     #: multi-frame transmission; the payload still travels as one unit).
     frames: int = 1
 
-    @property
-    def total_size(self) -> int:
-        return self.size + HEADER_BYTES
-
 
 Handler = Callable[[Message], None]
 

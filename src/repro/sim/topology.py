@@ -207,11 +207,6 @@ class Topology:
         return list(self._graph.neighbors(host_id))
 
     # -- liveness / partitions ----------------------------------------------
-    def invalidate_routes(self) -> None:
-        self._route_cache.clear()
-        self._link_cache.clear()
-        self._live_graph_cache = None
-
     def set_link_state(self, a: str, b: str, up: bool) -> None:
         self.link(a, b).up = up
         self._route_cache.clear()

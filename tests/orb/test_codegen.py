@@ -1,18 +1,28 @@
 """Unit tests for the exec-compiled codec tier (repro.orb.codegen).
 
-Property coverage (three-way equivalence with the interpreter and the
-compiled plans) lives in ``tests/property/test_trimodal_properties.py``;
-this file pins the plumbing: tier selection in ``get_plan``, the
-generation caches and stats, struct value polymorphism, union arms,
-and the batch-format LRU in ``compiled.make_batcher``.
+Property coverage (equivalence with the interpreter) lives in
+``tests/property/test_trimodal_properties.py``; this file pins the
+plumbing: tier selection in ``get_plan`` (and the interpreter tier
+that serves the shapes codegen declines), the generation caches and
+stats, struct value polymorphism, union arms, and the batch-format LRU
+in ``compiled.make_batcher``.
 """
 
 import pytest
 
 from repro.orb import codegen
-from repro.orb.cdr import CDRDecoder, CDREncoder, encode_value_interp
-from repro.orb.compiled import compile_plan, get_plan, make_batcher, set_codegen
+from repro.orb.cdr import (
+    Any,
+    CDRDecoder,
+    CDREncoder,
+    _MAX_NESTING,
+    decode_value_interp,
+    encode_typecode,
+    encode_value_interp,
+)
+from repro.orb.compiled import get_plan, make_batcher
 from repro.orb.exceptions import BAD_PARAM
+from repro.orb.ior import IOR
 from repro.orb.typecodes import (
     enum_tc,
     sequence_tc,
@@ -40,9 +50,6 @@ def _fresh_codegen():
     """Each test sees empty codegen caches and zeroed stats."""
     codegen.clear_cache()
     codegen.reset_stats()
-    set_codegen(True)
-    yield
-    set_codegen(True)
 
 
 # -- tier selection -----------------------------------------------------------
@@ -54,33 +61,90 @@ def test_get_plan_selects_codegen_tier_for_supported_typecode():
     assert plan.decode.__codegen_source__
 
 
-@pytest.mark.parametrize("tc", [
-    tc_any,
-    tc_objref,
-    struct_tc("HasAny", [("a", tc_long), ("b", tc_any)]),
-    struct_tc("HasRef", [("r", tc_objref)]),
-    sequence_tc(tc_any),
-], ids=["any", "objref", "struct_any", "struct_objref", "seq_any"])
-def test_get_plan_keeps_value_dependent_shapes_on_plan_tier(tc):
-    # any/objref wire shape depends on the runtime value, so these stay
-    # on the closure-compiled tier — by design, not by accident.
+REF = IOR("IDL:test/Ref:1.0", "h0", "root", "obj-1")
+POINT_TC = struct_tc("CgAnyPoint", [("x", tc_double), ("y", tc_double)])
+
+
+def _nested_any(levels):
+    """An Any wrapping *levels* nested Anys around a long."""
+    value = Any(tc_long, 7)
+    for _ in range(levels):
+        value = Any(tc_any, value)
+    return value
+
+
+#: Its innermost long sits one level past the interpreter's limit.
+TOO_DEEP = _nested_any(_MAX_NESTING)
+
+
+def _too_deep_wire():
+    """The bytes TOO_DEEP would encode to, had it no nesting limit."""
+    enc = CDREncoder()
+    for _ in range(_MAX_NESTING):
+        encode_typecode(enc, tc_any)
+    encode_typecode(enc, tc_long)
+    enc.write_long(7)
+    return enc.getvalue()
+
+
+def _bad_param(fn, arg):
+    with pytest.raises(BAD_PARAM) as info:
+        fn(arg)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("tc,value", [
+    pytest.param(tc_any, Any(tc_long, -5), id="any"),
+    pytest.param(tc_any, Any(POINT_TC, {"x": 1.5, "y": -2.5}),
+                 id="any_struct"),
+    pytest.param(tc_any, Any(sequence_tc(tc_string), ["a", "bc"]),
+                 id="any_seq"),
+    pytest.param(tc_objref, REF, id="objref"),
+    pytest.param(struct_tc("HasAny", [("a", tc_long), ("b", tc_any)]),
+                 {"a": 3, "b": Any(tc_string, "x")}, id="struct_any"),
+    pytest.param(struct_tc("HasRef", [("r", tc_objref)]), {"r": REF},
+                 id="struct_objref"),
+    pytest.param(sequence_tc(tc_any), [Any(tc_long, 1), Any(tc_double, 2.0)],
+                 id="seq_any"),
+    pytest.param(tc_any, _nested_any(_MAX_NESTING - 1), id="any_deepest"),
+    pytest.param(tc_any, TOO_DEEP, id="any_too_deep"),
+])
+def test_get_plan_keeps_value_dependent_shapes_on_plan_tier(tc, value):
+    # any/objref wire shape depends on the runtime value, so codegen
+    # declines these and the plan is served by the interpreter — by
+    # design, not by accident.  The served plan must match the
+    # interpreter byte for byte at every residue, including its
+    # nesting limit on the value inside an Any.
     assert codegen.generate(tc) is None
-    assert get_plan(tc).tier == "plan"
-
-
-def test_compile_plan_stays_pure_plan_tier():
-    # compile_plan is the escape hatch for a fresh uncached closure
-    # compile; it must never come back codegen-wrapped.
-    plan = compile_plan(SUPPORTED_TC)
-    assert plan.tier == "plan"
-    assert not hasattr(plan.encode, "__codegen_source__")
-
-
-def test_set_codegen_false_falls_back_to_plan_tier():
-    set_codegen(False)
-    assert get_plan(SUPPORTED_TC).tier == "plan"
-    set_codegen(True)
-    assert get_plan(SUPPORTED_TC).tier == "codegen"
+    plan = get_plan(tc)
+    assert plan.tier == "interp"
+    if value is TOO_DEEP:
+        ref = _bad_param(lambda e: encode_value_interp(e, tc, value),
+                         CDREncoder())
+        assert "nesting too deep" in ref
+        assert _bad_param(lambda e: plan.encode(e, value), CDREncoder()) == ref
+        wire = _too_deep_wire()
+        ref = _bad_param(lambda d: decode_value_interp(d, tc),
+                         CDRDecoder(wire))
+        assert "nesting too deep" in ref
+        assert _bad_param(plan.decode, CDRDecoder(wire)) == ref
+        return
+    for prefix in range(8):
+        ref, got = CDREncoder(), CDREncoder()
+        for i in range(prefix):
+            ref.write_octet(i)
+            got.write_octet(i)
+        encode_value_interp(ref, tc, value)
+        plan.encode(got, value)
+        wire = ref.getvalue()
+        assert got.getvalue() == wire
+        d_ref, d_got = CDRDecoder(wire), CDRDecoder(wire)
+        for _ in range(prefix):
+            d_ref.read_octet()
+            d_got.read_octet()
+        expected = decode_value_interp(d_ref, tc)
+        assert plan.decode(d_got) == expected == value
+        assert d_got._pos == d_ref._pos == len(wire)
 
 
 # -- caches and stats ---------------------------------------------------------
@@ -200,30 +264,3 @@ def test_make_batcher_lru_keeps_hot_entry_and_bounds_cache():
     # Cold early shapes were evicted (they would only be present if the
     # cache grew without bound).
     assert (0, 2) not in batch.cache
-
-
-# -- operation-codec memo invalidation ----------------------------------------
-
-def test_set_codegen_false_invalidates_memoized_op_codecs():
-    # Regression: the per-OperationDef codec memo survived tier
-    # switches, so an ablation run flipping set_codegen(False) kept
-    # executing stale codegen-tier codecs on every operation memoized
-    # before the switch.
-    from repro.orb.compiled import op_codec
-    from repro.orb.core import InterfaceDef, op
-
-    iface = InterfaceDef("IDL:test/Memo:1.0", "Memo", operations=[
-        op("put", [("v", SUPPORTED_TC)], tc_long),
-    ])
-    odef = iface.operations["put"]
-    hot = op_codec(odef)
-    assert hot.in_plans[0].tier == "codegen"
-    assert op_codec(odef) is hot           # memoized on the odef
-
-    set_codegen(False)
-    cold = op_codec(odef)
-    assert cold is not hot                 # memo was dropped
-    assert cold.in_plans[0].tier != "codegen"
-
-    set_codegen(True)
-    assert op_codec(odef).in_plans[0].tier == "codegen"

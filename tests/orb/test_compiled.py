@@ -1,7 +1,7 @@
-"""Tests for the compiled CDR codec plans and the invocation fast path.
+"""Tests for the CDR codec plan cache and the invocation fast path.
 
 Covers the plan cache (hit counters during a standard invocation), the
-max-nesting edge cases where the fast path must agree with the
+max-nesting edge cases where the served plan must agree with the
 interpreter's dynamic depth limit, misaligned enclosing encapsulations,
 and the pooled-encoder plumbing (``take``/``reset``).
 """
@@ -19,7 +19,7 @@ from repro.orb.cdr import (
     encode_value,
     encode_value_interp,
 )
-from repro.orb.compiled import CodecPlan, compile_plan, get_plan, op_codec
+from repro.orb.compiled import CodecPlan, get_plan, op_codec
 from repro.orb.core import InterfaceDef, ORB, Servant, op
 from repro.orb.exceptions import BAD_PARAM
 from repro.orb.typecodes import (
@@ -61,7 +61,7 @@ MIXED_VALUE = {
 
 
 def both_encodings(tc, value, prefix=0):
-    """Encode via interpreter and compiled plan at offset *prefix*."""
+    """Encode via interpreter and the cached plan at offset *prefix*."""
     e_ref = CDREncoder()
     e_fast = CDREncoder()
     for i in range(prefix):
@@ -182,7 +182,7 @@ class TestMaxNesting:
         with pytest.raises(BAD_PARAM, match="nesting too deep"):
             encode_value_interp(CDREncoder(), tc, value)
         with pytest.raises(BAD_PARAM, match="nesting too deep"):
-            compile_plan(tc).encode(CDREncoder(), value)
+            get_plan(tc).encode(CDREncoder(), value)
 
     def test_shallow_struct_accepted_by_both_paths(self):
         tc = self._deep_struct(20)
@@ -194,13 +194,13 @@ class TestMaxNesting:
     def test_deep_sequence_type_with_empty_value_ok(self):
         """An over-deep TypeCode is fine while the value stays shallow:
         the interpreter only enforces depth as it recurses, and the
-        compiled plan must match."""
+        served plan must match."""
         tc = tc_long
         for _ in range(70):
             tc = sequence_tc(tc)
         ref, fast = both_encodings(tc, [])
         assert ref == fast == b"\x00\x00\x00\x00"
-        assert compile_plan(tc).decode(CDRDecoder(fast)) == []
+        assert get_plan(tc).decode(CDRDecoder(fast)) == []
 
     def test_deep_sequence_value_rejected_by_both_paths(self):
         tc = tc_long
@@ -211,7 +211,7 @@ class TestMaxNesting:
         with pytest.raises(BAD_PARAM, match="nesting too deep"):
             encode_value_interp(CDREncoder(), tc, value)
         with pytest.raises(BAD_PARAM, match="nesting too deep"):
-            compile_plan(tc).encode(CDREncoder(), value)
+            get_plan(tc).encode(CDREncoder(), value)
 
 
 class TestEncoderPooling:
@@ -287,7 +287,6 @@ class TestInvocationFastPath:
         client.sync(stub.echo({"x": 1.0, "y": 2.0}))
         compiled.reset_stats()
         client.sync(stub.echo({"x": 3.0, "y": 4.0}))
-        assert compiled.stats["compiled"] == 0
         assert compiled.stats["misses"] == 0
 
     def test_stub_memoizes_operation_methods(self):
@@ -331,7 +330,7 @@ class TestPlanCache:
     def test_get_plan_returns_codec_plan(self):
         plan = get_plan(POINT)
         assert isinstance(plan, CodecPlan)
-        assert plan.fixed is not None  # Point is wholly fixed-size
+        assert plan.tier == "codegen"  # Point's wire shape is static
 
     def test_top_level_api_uses_plans(self):
         compiled.reset_stats()

@@ -1,14 +1,13 @@
-"""Tri-modal equivalence: interpreter vs compiled plan vs generated source.
+"""Codec-tier equivalence: interpreter vs generated source.
 
-The codec stack has three tiers — the reference TypeCode interpreter,
-the closure-based compiled plan, and the exec-compiled generated
-source (repro.orb.codegen).  Whatever tier serves a value, the bytes
-on the wire and the values decoded back must be identical, at every
-alignment residue.  These properties pin that three-way agreement on
-randomly generated TypeCodes; when codegen declines a TypeCode the
-test degrades to the two supported tiers (that decline is itself
-asserted to be honest: `generate` returns None only for kinds the
-design keeps on the plan/interpreter tiers).
+The codec stack has two tiers — the reference TypeCode interpreter and
+the exec-compiled generated source (repro.orb.codegen).  Whatever tier
+serves a value, the bytes on the wire and the values decoded back must
+be identical, at every alignment residue.  These properties pin that
+agreement on randomly generated TypeCodes; when codegen declines a
+TypeCode the test degrades to the interpreter alone (that decline is
+itself asserted to be honest: `generate` returns None only for kinds
+the design keeps on the interpreter).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.orb.cdr import (
     decode_value_interp,
     encode_value_interp,
 )
-from repro.orb.compiled import compile_plan
 from repro.orb.typecodes import (
     sequence_tc,
     struct_tc,
@@ -37,11 +35,9 @@ from test_cdr_properties import _typed_values
 
 def _encoders_for(tc):
     """(label, encode(enc, value), decode(dec)) for every available tier."""
-    plan = compile_plan(tc)
     tiers = [
         ("interp", lambda enc, v: encode_value_interp(enc, tc, v),
          lambda dec: decode_value_interp(dec, tc)),
-        ("plan", plan.encode, plan.decode),
     ]
     pair = codegen.generate(tc)
     if pair is not None:
