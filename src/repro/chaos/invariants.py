@@ -273,9 +273,13 @@ class AdmissionRecoveredMonitor(InvariantMonitor):
                     return False, (f"reply {rid} ({odef.name}) on "
                                    f"{host} pending {age:.3f}s — the "
                                    f"deadline sweeper never expired it")
+        topo = world.topology
         for host, registry in world.breakers.items():
             for peer, breaker in registry._breakers.items():
-                if world.topology.host(peer).alive and not breaker.allow():
+                # a breaker keyed by an id that names no host (a peer
+                # read from a corrupted IOR) guards no live peer
+                if (peer in topo and topo.host(peer).alive
+                        and not breaker.allow()):
                     return False, (f"breaker {host}->{peer} wedged "
                                    f"{breaker.state} after drain")
         for host, budget in world.budgets.items():

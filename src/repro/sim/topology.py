@@ -10,10 +10,10 @@ distinguish a LAN from a modem line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
-
-import networkx as nx
+from dataclasses import dataclass, replace
+from heapq import heappop, heappush
+from math import inf
+from typing import Callable, Optional
 
 from repro.util.errors import ConfigurationError
 
@@ -132,23 +132,25 @@ class Link:
 class Topology:
     """Hosts + links + shortest-latency routing.
 
-    Routing uses latency-weighted shortest paths over the subgraph of
-    live hosts and un-cut links.  Routes are cached and invalidated on
-    any topology or liveness change.
+    Routing runs one Dijkstra pass per source over the live hosts and
+    un-cut links; its predecessor tree is cached until the next
+    topology or liveness change.
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
         self._hosts: dict[str, Host] = {}
         self._links: dict[tuple[str, str], Link] = {}
-        self._route_cache: dict[tuple[str, str], Optional[list[str]]] = {}
-        #: (src, dst) -> Link list of the cached route (or None when
-        #: unreachable); invalidated together with the route cache.
-        self._link_cache: dict[tuple[str, str], Optional[list["Link"]]] = {}
-        #: live-subgraph memo shared by all route computations between
-        #: liveness changes; rebuilding it per (src, dst) pair is
-        #: O(hosts + links) each time and dominates 1k-host runs.
-        self._live_graph_cache: Optional[nx.Graph] = None
+        #: host -> {neighbour: Link}, in link-insertion order.
+        self._adj: dict[str, dict[str, Link]] = {}
+        #: source -> its live shortest-path tree {host: (prev, Link)}.
+        self._trees: dict[str, dict[str, tuple[str, Link]]] = {}
+        #: (src, dst) -> Link list of the live route (None when
+        #: unreachable): one dict lookup per message on the hot path.
+        self._link_cache: dict[tuple[str, str], Optional[list[Link]]] = {}
+
+    def _invalidate(self) -> None:
+        self._trees.clear()
+        self._link_cache.clear()
 
     # -- construction ------------------------------------------------------
     def add_host(self, host_id: str, profile: HostProfile = DESKTOP) -> Host:
@@ -156,10 +158,8 @@ class Topology:
             raise ConfigurationError(f"duplicate host id {host_id!r}")
         host = Host(host_id, profile)
         self._hosts[host_id] = host
-        self._graph.add_node(host_id)
-        self._route_cache.clear()
-        self._link_cache.clear()
-        self._live_graph_cache = None
+        self._adj[host_id] = {}
+        self._invalidate()
         return host
 
     def add_link(self, a: str, b: str, link_class: LinkClass = LAN) -> Link:
@@ -171,10 +171,8 @@ class Topology:
         if link.key in self._links:
             raise ConfigurationError(f"duplicate link {a!r}<->{b!r}")
         self._links[link.key] = link
-        self._graph.add_edge(a, b, weight=link_class.latency)
-        self._route_cache.clear()
-        self._link_cache.clear()
-        self._live_graph_cache = None
+        self._adj[a][b] = self._adj[b][a] = link
+        self._invalidate()
         return link
 
     # -- access ------------------------------------------------------------
@@ -203,15 +201,10 @@ class Topology:
     def links(self) -> list[Link]:
         return list(self._links.values())
 
-    def neighbors(self, host_id: str) -> list[str]:
-        return list(self._graph.neighbors(host_id))
-
     # -- liveness / partitions ----------------------------------------------
     def set_link_state(self, a: str, b: str, up: bool) -> None:
         self.link(a, b).up = up
-        self._route_cache.clear()
-        self._link_cache.clear()
-        self._live_graph_cache = None
+        self._invalidate()
 
     def set_host_state(self, host_id: str, alive: bool) -> None:
         host = self.host(host_id)
@@ -219,45 +212,51 @@ class Topology:
             host.restart()
         else:
             host.crash()
-        self._route_cache.clear()
-        self._link_cache.clear()
-        self._live_graph_cache = None
+        self._invalidate()
 
     # -- routing -------------------------------------------------------------
-    def _live_graph(self) -> nx.Graph:
-        g = self._live_graph_cache
-        if g is None:
-            g = nx.Graph()
-            for hid, host in self._hosts.items():
-                if host.alive:
-                    g.add_node(hid)
-            for link in self._links.values():
-                if (link.up and link.a in g and link.b in g):
-                    g.add_edge(link.a, link.b, weight=link.latency)
-            self._live_graph_cache = g
-        return g
+    def _tree(self, src: str) -> dict[str, tuple[str, Link]]:
+        """Predecessor tree of the live shortest paths from *src*.  Ties
+        go to the path found first: heap order (latency, push order),
+        neighbours in link order, relaxed only when strictly shorter."""
+        tree = self._trees.get(src)
+        if tree is not None:
+            return tree
+        hosts, adj = self._hosts, self._adj
+        tree = {}
+        if self.host(src).alive:
+            dist, pushes = {src: 0.0}, 0
+            heap = [(0.0, 0, src)]
+            while heap:
+                d, _, u = heappop(heap)
+                if d > dist[u]:
+                    continue                # superseded heap entry
+                for v, link in adj[u].items():
+                    if not link.up or not hosts[v].alive:
+                        continue
+                    nd = d + link.link_class.latency
+                    if nd < dist.get(v, inf):
+                        dist[v] = nd
+                        tree[v] = (u, link)
+                        pushes += 1
+                        heappush(heap, (nd, pushes, v))
+        self._trees[src] = tree
+        return tree
 
     def route(self, src: str, dst: str) -> Optional[list[str]]:
-        """Host-id path from *src* to *dst*, or None if unreachable.
-
-        The endpoints must exist; the source may be a crashed host only
-        in the sense that a caller checks liveness itself — routing
-        requires both endpoints live.
-        """
+        """Host-id path from *src* to *dst* through live hosts and un-cut
+        links, or None if unreachable.  Both endpoints must exist."""
         if src == dst:
             return [src]
-        key = (src, dst)
-        if key in self._route_cache:
-            return self._route_cache[key]
-        self.host(src)
         self.host(dst)
-        g = self._live_graph()
-        try:
-            path = nx.shortest_path(g, src, dst, weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            path = None
-        self._route_cache[key] = path
-        return path
+        tree = self._tree(src)
+        if dst not in tree:
+            return None
+        path = [dst]
+        while dst != src:
+            dst = tree[dst][0]
+            path.append(dst)
+        return path[::-1]
 
     def path_links(self, path: list[str]) -> list[Link]:
         """The links along a host path."""

@@ -11,6 +11,7 @@ from repro.chaos import (
     probe_monitor,
 )
 from repro.chaos.invariants import (
+    AdmissionRecoveredMonitor,
     FederatedResolvableMonitor,
     MembershipConvergenceMonitor,
     NoOrphanInstancesMonitor,
@@ -92,6 +93,34 @@ class TestMonitorsDetectBreakage:
         finally:
             inv._running_ground_truth = real
         assert not ok and "unresolvable" in detail
+
+    def _quiesced_world(self, seed):
+        world = build_world(seed=seed)
+        world.rig.run(until=world.rig.env.now + 5.0)
+        world.stop_clients()
+        world.rig.run(until=world.rig.env.now + 6.0)
+        return world
+
+    @staticmethod
+    def _trip(world, peer):
+        breaker = next(iter(world.breakers.values())).breaker_for(peer)
+        for _ in range(breaker.failure_threshold):
+            breaker.on_failure()
+        return breaker
+
+    def test_open_breaker_to_live_peer_flagged(self):
+        world = self._quiesced_world(seed=308)
+        self._trip(world, "c2h2")
+        ok, detail = probe(world, AdmissionRecoveredMonitor(), QUIESCENCE)
+        assert not ok and "wedged" in detail
+
+    def test_breaker_keyed_by_unknown_host_ignored(self):
+        # A peer id read from a bit-flipped IOR names no host: its
+        # breaker guards no live peer and must not crash the probe.
+        world = self._quiesced_world(seed=308)
+        self._trip(world, "c!h2")
+        ok, detail = probe(world, AdmissionRecoveredMonitor(), QUIESCENCE)
+        assert ok, detail
 
     def test_strictness_split(self):
         strict = {m.name for m in default_monitors() if m.strict_mid}

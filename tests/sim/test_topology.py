@@ -1,5 +1,13 @@
 """Unit tests for topology construction and routing."""
 
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import networkx as nx
 import pytest
 
 from repro.sim.rng import RngRegistry
@@ -210,3 +218,140 @@ class TestBuilders:
         topo = star(2, hub_profile=SERVER, leaf_profile=PDA)
         assert topo.host("hub").profile is SERVER
         assert topo.host("h0").profile is PDA
+
+
+# -- routing against a networkx oracle ----------------------------------------
+
+def _live_graph(topo):
+    """The live subgraph as a weighted networkx graph: the oracle."""
+    g = nx.Graph()
+    g.add_nodes_from(h.host_id for h in topo.hosts() if h.alive)
+    g.add_weighted_edges_from(
+        (l.a, l.b, l.latency) for l in topo.links()
+        if l.up and l.a in g and l.b in g)
+    return g
+
+
+def _break(topo, seed):
+    """Fill the route caches, then cut a seeded tenth of the links and
+    crash a seeded tenth of the hosts: routes must follow the change."""
+    hosts = topo.host_ids()
+    for src in hosts:
+        for dst in hosts:
+            topo.route_links(src, dst)
+    rng = random.Random(seed)
+    links = topo.links()
+    for link in rng.sample(links, max(1, len(links) // 10)):
+        topo.set_link_state(link.a, link.b, up=False)
+    for host in rng.sample(hosts, max(1, len(hosts) // 10)):
+        topo.set_host_state(host, alive=False)
+
+
+ORACLE_TOPOLOGIES = {
+    "star": lambda: star(6),
+    "line": lambda: line(7),
+    "chain": lambda: clustered(4, 4),
+    "chords": lambda: clustered(16, 16, backbone="chords"),
+    "mesh": lambda: random_mesh(40, 3.0, RngRegistry(5).stream("topo")),
+}
+
+
+@pytest.fixture(params=[(name, broken) for name in ORACLE_TOPOLOGIES
+                        for broken in (False, True)],
+                ids=lambda p: f"{p[0]}-{'broken' if p[1] else 'intact'}")
+def oracle_topology(request):
+    name, broken = request.param
+    topo = ORACLE_TOPOLOGIES[name]()
+    if broken:
+        _break(topo, seed=7)
+    return topo
+
+
+class TestRoutingOracle:
+    def test_latency_and_reachability_match_networkx(self, oracle_topology):
+        topo = oracle_topology
+        g = _live_graph(topo)
+        for src in topo.host_ids():
+            live = src in g
+            lengths = (nx.single_source_dijkstra_path_length(g, src)
+                       if live else {})
+            component = nx.node_connected_component(g, src) if live else ()
+            for dst in topo.host_ids():
+                if src == dst:
+                    continue
+                path = topo.route(src, dst)
+                assert (path is not None) == (dst in component), (src, dst)
+                if path is None:
+                    assert topo.route_links(src, dst) is None
+                    continue
+                links = topo.route_links(src, dst)
+                assert links == topo.path_links(path)
+                assert all(l.up for l in links)
+                assert all(topo.host(h).alive for h in path)
+                assert sum(l.latency for l in links) == pytest.approx(
+                    lengths[dst], rel=1e-12)
+
+    def test_every_prefix_is_a_route(self, oracle_topology):
+        # route(s, d) minus its last hop is route(s, prev); by induction
+        # every prefix of a route is the route to its last host.
+        topo = oracle_topology
+        for src in topo.host_ids():
+            for dst in topo.host_ids():
+                path = topo.route(src, dst)
+                if path is not None and len(path) > 1:
+                    assert topo.route(src, path[-2]) == path[:-1]
+
+    def test_equal_latency_tie_goes_to_first_discovered_path(self):
+        # c0h0 reaches c13h0 over two WAN hops either via c1h0 or via
+        # c12h0.  The link to c1h0 was added first, so c1h0 is pushed
+        # and popped first and claims c13h0; c12h0's equal-latency path
+        # is not strictly shorter and loses.
+        topo = clustered(16, 16, backbone="chords")
+        assert topo.route("c0h0", "c13h0") == ["c0h0", "c1h0", "c13h0"]
+
+    def test_unknown_endpoints_rejected(self):
+        topo = line(3)
+        with pytest.raises(ConfigurationError):
+            topo.route("h0", "ghost")
+        with pytest.raises(ConfigurationError):
+            topo.route_links("ghost", "h0")
+
+
+# -- determinism across processes, and no networkx at run time ----------------
+
+_ROUTE_DIGEST = """
+import hashlib, json, sys
+import repro
+from repro.chaos import build_world
+from repro.sim.topology import clustered
+from repro.testing import SimRig
+
+def routes(topo):
+    hosts = topo.host_ids()
+    return [topo.route(s, d) for s in hosts for d in hosts]
+
+world = build_world(0)
+chords = clustered(16, 16, backbone="chords")
+rig = SimRig(chords)
+blob = json.dumps([routes(world.topology), routes(rig.topology)])
+print(json.dumps({"digest": hashlib.sha256(blob.encode()).hexdigest(),
+                  "networkx": "networkx" in sys.modules}))
+"""
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _route_digest(hashseed):
+    env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
+               PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _ROUTE_DIGEST], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestRoutingProcessInvariants:
+    def test_routes_identical_across_hash_seeds_without_networkx(self):
+        first, second = _route_digest(1), _route_digest(2)
+        assert first["digest"] == second["digest"]
+        assert not first["networkx"] and not second["networkx"]
