@@ -1,8 +1,8 @@
 """C17 — batched event fan-out vs point-to-point oneways.
 
 One publisher fans N_EVENTS events out to N_SINKS remote sinks.  The
-point-to-point arm does what the pre-bus reporters did: one ``push``
-oneway per event per sink — every logical event pays a full message
+point-to-point arm sends one ``push`` oneway per event per sink with a
+pipeline window of 0, so every logical event pays a full message
 (header, link charge, kernel events) N_SINKS times.  The bus arm
 publishes each event once to a local :class:`EventBus`; a single
 batched subscription hands flush windows to a
@@ -51,7 +51,7 @@ def run(batched: bool, seed: int = 0) -> dict:
     env = Environment()
     net = Network(env, star(N_SINKS), rngs=RngRegistry(seed))
     publisher = ORB(env, net, "hub",
-                    pipeline_window=PIPELINE_WINDOW if batched else None)
+                    pipeline_window=PIPELINE_WINDOW if batched else 0.0)
     sinks = []
     iors = []
     for k in range(N_SINKS):

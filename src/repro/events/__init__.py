@@ -1,9 +1,9 @@
 """Asynchronous event infrastructure: pub/sub bus, batching, fan-out.
 
 The paper's "network as repository" architecture runs on continuous
-background dissemination — soft-state reports, supervisor signals,
-metrics — none of which needs request/reply semantics.  This package
-gives that traffic a proper asynchronous spine:
+background dissemination — federation gossip, metrics — none of which
+needs request/reply semantics.  This package gives wide fan-outs a
+batched asynchronous spine above the ORB's oneway pipeline:
 
 - :class:`~repro.events.bus.EventBus` — per-node topic pub/sub with
   per-subscriber worker pools and bounded, drop-oldest buffers;

@@ -105,7 +105,6 @@ class Node:
         obs=None,
         dispatch_workers: Optional[int] = None,
         dispatch_limit: Optional[int] = None,
-        pipeline_window: Optional[float] = None,
     ) -> None:
         self.env = env
         self.network = network
@@ -117,8 +116,7 @@ class Node:
         self.orb = ORB(env, network, host_id,
                        default_timeout=default_timeout,
                        dispatch_workers=dispatch_workers,
-                       dispatch_limit=dispatch_limit,
-                       pipeline_window=pipeline_window)
+                       dispatch_limit=dispatch_limit)
         if obs is not None:
             obs.install(self.orb)
         self.resources = ResourceManager(env, self.host)

@@ -422,20 +422,24 @@ class _DispatchSlots:
 
 
 class _PipeChannel:
-    """Per-destination buffer of encoded oneway frames awaiting a flush.
+    """Per-destination oneway pipeline state.
 
-    ``token`` versions the armed flush timer: arming bumps it and any
-    timer carrying a stale token is a no-op, so an early flush (size or
-    byte threshold) can never be followed by a spurious empty flush.
+    ``frames`` holds encoded oneways awaiting a flush; ``last_sent`` is
+    the sim-time of the last transmission to the destination, which
+    decides whether the next oneway may skip the buffer.  A flush timer
+    is armed exactly while ``frames`` is non-empty.  ``token`` versions
+    it: arming bumps it and any timer carrying a stale token is a
+    no-op, so an early flush (size or byte threshold) can never be
+    followed by a spurious empty flush.
     """
 
-    __slots__ = ("frames", "nbytes", "token", "armed")
+    __slots__ = ("frames", "nbytes", "token", "last_sent")
 
     def __init__(self) -> None:
         self.frames: list[bytes] = []
         self.nbytes = 0
         self.token = 0
-        self.armed = False
+        self.last_sent = float("-inf")
 
 
 class ORB:
@@ -448,6 +452,14 @@ class ORB:
     #: ``reply_deadline=None`` to restore unbounded waiting.
     REPLY_DEADLINE = 60.0
 
+    #: GIOP request pipelining window (sim-seconds).  A window of 0
+    #: sends every oneway as its own message and never arms a timer.
+    PIPELINE_WINDOW = 0.0005
+    #: A buffered channel flushes early at this many frames...
+    PIPELINE_MAX_FRAMES = min(64, giop.MAX_MULTI_FRAMES)
+    #: ...or this many encoded bytes.
+    PIPELINE_MAX_BYTES = 16384
+
     def __init__(
         self,
         env: Environment,
@@ -457,9 +469,7 @@ class ORB:
         reply_deadline: Optional[float] = REPLY_DEADLINE,
         dispatch_workers: Optional[int] = None,
         dispatch_limit: Optional[int] = None,
-        pipeline_window: Optional[float] = None,
-        pipeline_max_frames: int = 64,
-        pipeline_max_bytes: int = 16384,
+        pipeline_window: float = PIPELINE_WINDOW,
     ) -> None:
         self.env = env
         self.network = network
@@ -506,14 +516,11 @@ class ORB:
         #: deadline preempts a later one (a preempted timer must not
         #: re-arm a duplicate when it finally fires).
         self._deadline_token = 0
-        #: GIOP request pipelining: when ``pipeline_window`` is set,
-        #: oneway sends sharing a destination within the window are
-        #: framed into one MSG_MULTI transmission (one header, one link
-        #: charge) instead of one message each.
+        #: GIOP request pipelining (see :meth:`_pipe_send`): oneways
+        #: that follow a transmission to the same destination within
+        #: the window are framed into one MSG_MULTI transmission (one
+        #: header, one link charge) instead of one message each.
         self.pipeline_window = pipeline_window
-        self.pipeline_max_frames = min(pipeline_max_frames,
-                                       giop.MAX_MULTI_FRAMES)
-        self.pipeline_max_bytes = pipeline_max_bytes
         self._pipe_channels: dict[str, _PipeChannel] = {}
         #: called with cpu-seconds on every dispatch (resource accounting)
         self.dispatch_listeners: list[Callable[[float], None]] = []
@@ -527,6 +534,7 @@ class ORB:
         self._ctr_requests = self.metrics.counter(names.ORB_REQUESTS)
         self._ctr_replies = self.metrics.counter(names.ORB_REPLIES)
         self._ctr_dispatches = self.metrics.counter(names.ORB_DISPATCHES)
+        self._ctr_oneways = self.metrics.counter(names.ORB_ONEWAYS)
         #: observability hub, set by repro.obs.Observability.install().
         self.obs = None
         self.host.on_crash.append(self._on_host_crash)
@@ -657,44 +665,10 @@ class ORB:
     ) -> int:
         """True fire-and-forget send of a oneway operation.
 
-        Marshals and ships the request with ``response_expected=False``
-        and *no* reply machinery: no kernel event is allocated and the
-        pending-reply table is never touched, so callers (periodic
-        reporters above all) cannot leak state no matter how many
-        reports they send or whether the peer is reachable.  Returns
-        the wire size in bytes.
+        The one-target case of :meth:`send_oneway_fanout`.  Returns the
+        wire size in bytes.
         """
-        if not odef.oneway:
-            raise BAD_PARAM(
-                f"{odef.name} expects a response; use invoke() instead"
-            )
-        enc = self._marshal_args_pooled(odef, args)
-        self._next_request_id += 1
-        request_id = self._next_request_id
-        info, service_context = self._client_send_hooks(
-            ior, odef, request_id, meter, oneway=True)
-        wire = giop.encode_request(
-            request_id, False, self._request_prefix(ior, odef.name),
-            enc._buf, service_context)
-        enc.reset()
-        self._release_encoder(enc)
-        self._ctr_requests.inc()
-        self.metrics.counter(names.ORB_ONEWAYS).inc()
-        if meter is not None:
-            # Per-protocol bandwidth attribution (benchmarks rely on it).
-            self.metrics.counter(f"{meter}.msgs").inc()
-            self.metrics.counter(f"{meter}.bytes").inc(len(wire))
-        if self.pipeline_window is not None:
-            self._pipe_send(ior.host_id, wire)
-        else:
-            self.network.send(self.host_id, ior.host_id, "giop", wire,
-                              len(wire))
-        if info is not None:
-            info.request_bytes = len(wire)
-            info.end = self.env.now
-            for icpt in reversed(self._client_interceptors):
-                icpt.receive_reply(info)
-        return len(wire)
+        return self.send_oneway_fanout((ior,), odef, args, meter)
 
     def send_oneway_fanout(
         self,
@@ -705,20 +679,22 @@ class ORB:
     ) -> int:
         """Fan one oneway out to many targets, marshalling args once.
 
-        The argument body is encoded a single time and shared by every
+        Each request ships with ``response_expected=False`` and *no*
+        reply machinery: no kernel event is allocated and the
+        pending-reply table is never touched, so callers (periodic
+        reporters above all) cannot leak state no matter how many
+        reports they send or whether the peer is reachable.  The
+        argument body is encoded a single time and shared by every
         per-destination frame — only the routing prefix and request id
-        differ — so wide fan-outs (batched event forwarding above all)
-        stop paying the marshal cost once per subscriber.  Semantics
-        per target are exactly :meth:`send_oneway`.  Returns total wire
-        bytes.
+        differ — so wide fan-outs stop paying the marshal cost once per
+        subscriber.  Frames go through the per-destination pipeline
+        (:meth:`_pipe_send`).  Returns total wire bytes.
         """
         if not odef.oneway:
             raise BAD_PARAM(
                 f"{odef.name} expects a response; use invoke() instead"
             )
         enc = self._marshal_args_pooled(odef, args)
-        ctr_oneways = self.metrics.counter(names.ORB_ONEWAYS)
-        pipelined = self.pipeline_window is not None
         total = 0
         for ior in iors:
             self._next_request_id += 1
@@ -729,15 +705,12 @@ class ORB:
                 request_id, False, self._request_prefix(ior, odef.name),
                 enc._buf, service_context)
             self._ctr_requests.inc()
-            ctr_oneways.inc()
+            self._ctr_oneways.inc()
             if meter is not None:
+                # Per-protocol bandwidth attribution (benchmarks rely on it).
                 self.metrics.counter(f"{meter}.msgs").inc()
                 self.metrics.counter(f"{meter}.bytes").inc(len(wire))
-            if pipelined:
-                self._pipe_send(ior.host_id, wire)
-            else:
-                self.network.send(self.host_id, ior.host_id, "giop",
-                                  wire, len(wire))
+            self._pipe_send(ior.host_id, wire)
             total += len(wire)
             if info is not None:
                 info.request_bytes = len(wire)
@@ -750,25 +723,35 @@ class ORB:
 
     # -- GIOP request pipelining -------------------------------------------
     def _pipe_send(self, dst: str, wire: bytes) -> None:
-        """Buffer one encoded oneway for *dst*; flush on thresholds.
+        """Send one encoded oneway to *dst* under Nagle's rule (RFC 896).
 
-        Frames accumulate until ``pipeline_max_frames`` / ``_max_bytes``
-        force an immediate flush, or the ``pipeline_window`` age timer
-        fires — whichever comes first.  Send order is preserved: frames
-        are appended here and unpacked in order by the receiving ORB.
+        A quiet destination — nothing buffered and nothing sent within
+        the last ``pipeline_window`` — gets the frame on the wire now,
+        with no timer and no delay.  Frames that follow within the
+        window are buffered until ``PIPELINE_MAX_FRAMES`` /
+        ``PIPELINE_MAX_BYTES`` force an immediate flush, or the window
+        opened by the last transmission closes — whichever comes first
+        — so a held frame waits less than one window.  Send order is
+        preserved: a frame never skips a non-empty buffer, and the
+        receiving ORB unpacks a multi in order.
         """
         chan = self._pipe_channels.get(dst)
         if chan is None:
             chan = self._pipe_channels[dst] = _PipeChannel()
+        now = self.env.now
+        if not chan.frames and now - chan.last_sent >= self.pipeline_window:
+            chan.last_sent = now
+            self.network.send(self.host_id, dst, "giop", wire, len(wire))
+            return
         chan.frames.append(wire)
         chan.nbytes += len(wire)
-        if (len(chan.frames) >= self.pipeline_max_frames
-                or chan.nbytes >= self.pipeline_max_bytes):
+        if (len(chan.frames) >= self.PIPELINE_MAX_FRAMES
+                or chan.nbytes >= self.PIPELINE_MAX_BYTES):
             self._flush_channel(dst, chan)
-        elif not chan.armed:
-            chan.armed = True
+        elif len(chan.frames) == 1:
             chan.token += 1
-            Timeout(self.env, self.pipeline_window,
+            # The window opened by the last transmission closes here.
+            Timeout(self.env, chan.last_sent + self.pipeline_window - now,
                     (dst, chan.token)).callbacks.append(self._pipe_timer)
 
     def _pipe_timer(self, ev) -> None:
@@ -781,12 +764,11 @@ class ORB:
     def _flush_channel(self, dst: str, chan: _PipeChannel) -> None:
         frames = chan.frames
         if not frames:
-            chan.armed = False
             return
         chan.frames = []
         chan.nbytes = 0
-        chan.armed = False
         chan.token += 1  # invalidate any armed window timer
+        chan.last_sent = self.env.now
         if len(frames) == 1:
             wire = frames[0]
             self.network.send(self.host_id, dst, "giop", wire, len(wire))
@@ -1407,5 +1389,4 @@ class ORB:
         for chan in self._pipe_channels.values():
             chan.frames.clear()
             chan.nbytes = 0
-            chan.armed = False
             chan.token += 1

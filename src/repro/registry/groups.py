@@ -46,10 +46,6 @@ class RegistryConfig:
     prediction_tolerance: float = 10.0
     supervise: bool = False           # automatic MRM promotion
     supervise_interval: float = 5.0
-    #: route soft-state reports through a per-node event bus (batched
-    #: report_batch delivery riding GIOP pipelining) instead of one
-    #: point-to-point oneway per report per replica.
-    event_bus: bool = False
     #: replace the MRM hierarchy with the sharded, gossip-federated
     #: registry (see :mod:`repro.registry.federation`): ``deploy``
     #: ignores the grouping and stands up shard owners instead,
@@ -307,15 +303,8 @@ class DistributedRegistry:
 
     def _make_reporter(self, node, iors, phase: float):
         if self.config.mode == "soft":
-            bus = None
-            if self.config.event_bus:
-                from repro.events.bus import EventBus
-                bus = getattr(node, "bus", None)
-                if bus is None:
-                    bus = EventBus(node.env, node.metrics)
-                    node.bus = bus
             return SoftStateReporter(node, iors, self.mrm_config,
-                                     phase=phase, bus=bus)
+                                     phase=phase)
         if self.config.mode == "strong":
             return StrongStateReporter(node, iors, self.mrm_config)
         return PredictiveReporter(

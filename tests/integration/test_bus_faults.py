@@ -1,10 +1,11 @@
-"""Bus-driven soft-state reporting under a flapping network.
+"""Pipelined soft-state reporting under a flapping network.
 
-Soft-state reports ride the event bus as batched ``report_batch``
-oneways.  Batching must never change the registry's consistency
-story: whatever the network drops is repaired by later reports, but a
-batch that *does* arrive must apply its member reports exactly once
-and in publication order.  This test floods the bus with
+Soft-state reports are direct ``report`` oneways, and bursts of them
+to one MRM coalesce in the sender ORB's GIOP pipeline.  Coalescing
+must never change the registry's consistency story: whatever the
+network drops is repaired by later reports, but a multi-frame
+transmission that *does* arrive must apply its member reports exactly
+once and in send order.  This test floods the MRM with
 generation-stamped views while a fault injector flaps the links under
 the delivery path, then checks the sequence of state applications at
 the MRM: per host strictly increasing generations — gaps are loss
@@ -15,7 +16,7 @@ forbidden).
 import pytest
 
 from repro.registry.groups import DistributedRegistry, RegistryConfig
-from repro.registry.softstate import TOPIC
+from repro.registry.mrm import MRM_IFACE
 from repro.registry.view import NodeView
 from repro.sim.faults import FaultInjector
 from repro.sim.topology import star
@@ -28,7 +29,7 @@ HOSTS = ["h0", "h1", "h2"]
 
 def deploy():
     rig = SimRig(star(3), seed=13)
-    cfg = RegistryConfig(update_interval=1.0, event_bus=True)
+    cfg = RegistryConfig(update_interval=1.0)
     dr = DistributedRegistry(rig.nodes, cfg)
     dr.deploy({"g": list(HOSTS)})
     return rig, dr
@@ -49,16 +50,18 @@ class TestBusUnderFaults:
         agent.accept_report = recording
 
         # Synthetic high-rate publishers: bursts of generation-stamped
-        # views into each node's bus, faster than the real reporter and
-        # several per flush window so batches carry real coalescence.
+        # views, faster than the real reporter and several per pipeline
+        # window so transmissions carry real coalescence.
+        report = MRM_IFACE.operations["report"]
+
         def publisher(node):
             base = NodeView.collect(node).to_value()
             gen = 0
             while True:
                 for _ in range(3):
                     gen += 1
-                    node.bus.publish(
-                        TOPIC,
+                    node.orb.send_oneway(
+                        agent.ior, report,
                         (node.host_id, dict(base, generation=float(gen))))
                 yield rig.env.timeout(0.15)
 
@@ -102,10 +105,10 @@ class TestBusUnderFaults:
             gens = per_host[host]
             assert gens[-1] > len(gens), host
 
-        # Delivery really was batched fan-in, not per-report oneways.
-        assert rig.metrics.get("bus.remote.batches") >= 30
-        assert (rig.metrics.get("bus.remote.events")
-                >= 2 * rig.metrics.get("bus.remote.batches"))
+        # Delivery really was coalesced, not one message per report.
+        assert rig.metrics.get("orb.pipeline.flushes") >= 30
+        assert (rig.metrics.get("orb.pipeline.frames")
+                >= 2 * rig.metrics.get("orb.pipeline.flushes"))
 
     def test_registry_converges_after_flaps(self):
         rig, dr = deploy()

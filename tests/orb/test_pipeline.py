@@ -15,10 +15,12 @@ IFACE = InterfaceDef("IDL:test/Sink:1.0", "Sink", operations=[
     op("note", [("x", tc_long)], oneway=True),
     op("slow_note", [("x", tc_long)], oneway=True, cpu_cost=40.0),
     op("ask", [("s", tc_string)], tc_string),
+    op("blob", [("s", tc_string)], oneway=True),
 ])
 NOTE = IFACE.operations["note"]
 SLOW_NOTE = IFACE.operations["slow_note"]
 ASK = IFACE.operations["ask"]
+BLOB = IFACE.operations["blob"]
 
 
 class SinkServant(Servant):
@@ -35,6 +37,9 @@ class SinkServant(Servant):
 
     def ask(self, s):
         return s.upper()
+
+    def blob(self, s):
+        self.notes.append(len(s))
 
 
 def make_rig(server_kwargs=None, **client_kwargs):
@@ -78,21 +83,24 @@ class TestMultiFraming:
 
 class TestCoalescing:
     def test_window_coalesces_oneways_into_one_message(self):
+        # The first oneway finds the destination quiet and goes out at
+        # once; the four that follow within the window coalesce.
         env, net, _server, client, servant, ior = make_rig(
             pipeline_window=0.01)
         before = net.metrics.get("net.messages")
         for i in range(5):
             client.send_oneway(ior, NOTE, (i,))
+        assert net.metrics.get("net.messages") == before + 1
         env.run(until=1.0)
         assert servant.notes == [0, 1, 2, 3, 4]          # order kept
-        assert net.metrics.get("net.messages") == before + 1
+        assert net.metrics.get("net.messages") == before + 2
         assert net.metrics.get("net.logical") == 5
         assert net.metrics.get("orb.pipeline.flushes") == 1
-        assert net.metrics.get("orb.pipeline.frames") == 5
+        assert net.metrics.get("orb.pipeline.frames") == 4
 
     def test_header_amortization_saves_bytes(self):
         sent = {}
-        for window in (None, 0.01):
+        for window in (0.0, 0.01):
             env, net, _server, client, servant, ior = make_rig(
                 pipeline_window=window)
             for i in range(10):
@@ -100,25 +108,34 @@ class TestCoalescing:
             env.run(until=1.0)
             assert servant.notes == list(range(10))
             sent[window] = net.metrics.get("net.bytes")
-        # 10 messages carry 10 headers; 1 coalesced message carries 1.
-        # Framing adds 8 bytes + ~8/frame, far less than 9 headers.
-        assert sent[0.01] <= sent[None] - 7 * HEADER_BYTES
+        # Window 0: 10 messages carry 10 headers.  Window 0.01: one
+        # plain message plus one coalesced message of 9 frames carry 2.
+        # Framing adds 8 bytes + ~8/frame, far less than 8 headers.
+        assert sent[0.01] <= sent[0.0] - 6 * HEADER_BYTES
 
     def test_frame_threshold_flushes_without_waiting(self):
         env, net, _server, client, servant, ior = make_rig(
-            pipeline_window=60.0, pipeline_max_frames=3)
-        for i in range(3):
+            pipeline_window=60.0)
+        n = ORB.PIPELINE_MAX_FRAMES + 1      # one direct, then a full buffer
+        for i in range(n):
             client.send_oneway(ior, NOTE, (i,))
         env.run(until=1.0)      # far below the 60 s window
-        assert servant.notes == [0, 1, 2]
+        assert servant.notes == list(range(n))
+        assert net.metrics.get("orb.pipeline.flushes") == 1
+        assert (net.metrics.get("orb.pipeline.frames")
+                == ORB.PIPELINE_MAX_FRAMES)
 
     def test_byte_threshold_flushes_without_waiting(self):
         env, net, _server, client, servant, ior = make_rig(
-            pipeline_window=60.0, pipeline_max_bytes=100)
-        client.send_oneway(ior, NOTE, (1,))
-        client.send_oneway(ior, NOTE, (2,))   # pushes past 100 bytes
+            pipeline_window=60.0)
+        half = "x" * (ORB.PIPELINE_MAX_BYTES // 2)
+        client.send_oneway(ior, NOTE, (1,))       # quiet: straight out
+        client.send_oneway(ior, BLOB, (half,))    # buffered
+        client.send_oneway(ior, BLOB, (half,))    # pushes past the limit
         env.run(until=1.0)
-        assert servant.notes == [1, 2]
+        assert servant.notes == [1, len(half), len(half)]
+        assert net.metrics.get("orb.pipeline.flushes") == 1
+        assert net.metrics.get("orb.pipeline.frames") == 2
 
     def test_single_frame_window_sends_plain_message(self):
         env, net, _server, client, servant, ior = make_rig(
@@ -163,7 +180,7 @@ class TestUnpackSemantics:
         # Regression (pre-PR failing): shed oneways were only visible
         # in the aggregate orb.shed, indistinguishable from two-ways.
         env, net, _server, client, servant, ior = make_rig(
-            server_kwargs={"dispatch_limit": 1})
+            server_kwargs={"dispatch_limit": 1}, pipeline_window=0.0)
         for i in range(4):
             client.send_oneway(ior, SLOW_NOTE, (i,))
         env.run(until=10.0)
@@ -203,19 +220,20 @@ class TestFanout:
             client.send_oneway_fanout([ior], ASK, ("hi",))
 
     def test_fanout_frames_coalesce_under_pipelining(self):
-        # Both targets live on the same host: the per-target frames of
-        # one fanout land in the same pipeline channel and ship as a
-        # single multi-request transmission.
+        # All targets live on the same host: the per-target frames of
+        # one fanout land in the same pipeline channel.  The first finds
+        # it quiet and goes out at once; the rest ship as a single
+        # multi-request transmission.
         env, net, server, client, _servant, _ior = make_rig(
             pipeline_window=0.01)
-        servants = [SinkServant(), SinkServant()]
+        servants = [SinkServant(), SinkServant(), SinkServant()]
         iors = [server.adapter(f"a{k}").activate(s)
                 for k, s in enumerate(servants)]
         before = net.metrics.get("net.messages")
         client.send_oneway_fanout(iors, NOTE, (8,))
         env.run(until=1.0)
-        assert [s.notes for s in servants] == [[8], [8]]
-        assert net.metrics.get("net.messages") == before + 1
+        assert [s.notes for s in servants] == [[8], [8], [8]]
+        assert net.metrics.get("net.messages") == before + 2
         assert net.metrics.get("orb.pipeline.frames") == 2
 
 
@@ -223,14 +241,15 @@ class TestCrashSemantics:
     def test_crash_discards_buffered_frames(self):
         env, net, _server, client, servant, ior = make_rig(
             pipeline_window=60.0)
-        client.send_oneway(ior, NOTE, (1,))
-        client.send_oneway(ior, NOTE, (2,))
+        client.send_oneway(ior, NOTE, (1,))   # quiet: on the wire at once
+        client.send_oneway(ior, NOTE, (2,))   # buffered
         host = net.topology.host("h1")
         host.crash()
         host.restart()
         env.run(until=120.0)
-        assert servant.notes == []    # pre-crash frames must not flush
+        assert servant.notes == [1]   # the buffered frame must not flush
         client.send_oneway(ior, NOTE, (3,))
+        client.send_oneway(ior, NOTE, (4,))
         client.flush_pipelines()
         env.run(until=130.0)
-        assert servant.notes == [3]   # channel still usable after restart
+        assert servant.notes == [1, 3, 4]   # channel usable after restart
